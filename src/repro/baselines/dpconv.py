@@ -51,6 +51,7 @@ from repro.context.context import OptimizationContext
 from repro.cost.model import CostModel
 from repro.errors import OptimizationError
 from repro.graph import bitset
+from repro.graph.query_graph import QueryGraph
 from repro.plans.join_tree import JoinTree
 from repro.plans.memo import MemoTable
 from repro.query import Query
@@ -59,13 +60,22 @@ from repro.stats.counters import OptimizationStats
 if TYPE_CHECKING:  # pragma: no cover - typing only, avoids a package cycle
     from repro.resilience.budget import Budget
 
-__all__ = ["DPconv", "eligible"]
+__all__ = ["DPconv", "eligible", "csg_layers"]
 
 _INFINITY = float("inf")
 
 #: Above this the flat arrays (two lists of 2^n slots) stop being a
 #: sensible trade — 2^24 slots is already ~128 MiB of list storage.
 _MAX_RELATIONS = 24
+
+
+def csg_layers(graph: QueryGraph) -> List[List[int]]:
+    """Every connected set of ``graph``, bucketed by size (index = size)."""
+    bit_count = bitset.bit_count
+    layers: List[List[int]] = [[] for _ in range(graph.n_vertices + 1)]
+    for subset in enumerate_csg(graph):
+        layers[bit_count(subset)].append(subset)
+    return layers
 
 
 def eligible(context: OptimizationContext) -> bool:
@@ -90,7 +100,10 @@ class DPconv:
     Same plan space and bit-identical optimal costs as :class:`DPccp`, for
     union-shaped (``C_out``) cost models at ``k = 1`` only.  Constructed
     like every other baseline: either from a ``query`` (plus optional cost
-    model / stats / budget) or from a ready ``context=``.
+    model / stats / budget) or from a ready ``context=``.  ``layers``
+    takes the connected sets by size when the caller already walked them
+    (:func:`csg_layers`; the facade's router does), so the sweep does not
+    walk them again.
     """
 
     name = "dpconv"
@@ -103,6 +116,7 @@ class DPconv:
         budget: Optional["Budget"] = None,
         *,
         context: Optional[OptimizationContext] = None,
+        layers: Optional[List[List[int]]] = None,
     ):
         if context is None:
             if query is None:
@@ -119,6 +133,7 @@ class DPconv:
         self._builder = context.builder
         self._memo = MemoTable(k=context.topk)
         self._budget = budget if budget is not None else context.budget
+        self._layers = layers
         self._require_eligible(context)
 
     @staticmethod
@@ -203,11 +218,7 @@ class DPconv:
         stats = self.stats
         budget = self._budget
         cardinality = self._provider.cardinality
-        bit_count = bitset.bit_count
-
-        layers: List[List[int]] = [[] for _ in range(n + 1)]
-        for subset in enumerate_csg(graph):
-            layers[bit_count(subset)].append(subset)
+        layers = self._layers if self._layers is not None else csg_layers(graph)
 
         size = graph.all_vertices + 1
         dp = [_INFINITY] * size

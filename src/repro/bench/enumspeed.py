@@ -2,10 +2,14 @@
 
 Times the three exact enumerators that must agree bit-for-bit under the
 ``C_out`` cost model — DPccp (bottom-up baseline), DPconv (the layered
-subset-convolution fast path) and top-down APCBI — over a seeded
-chain/star/cycle/clique matrix, and emits ``BENCH_enumspeed.json``.
+subset-convolution fast path) and top-down APCBI — plus the ``facade``:
+what ``Optimizer(cost_model_factory=CoutCostModel).optimize()`` returns
+after its predicted-work route picked DPconv or APCBI.  The matrix is a
+seeded chain/star/cycle/clique sweep plus sparse chain, cycle and acyclic
+rows at 16-18 relations, where the route must keep APCBI; the command
+emits ``BENCH_enumspeed.json``.
 
-Two kinds of failure are gated:
+Three kinds of failure are gated:
 
 * **cost divergence** (always checked, in-run): every algorithm must
   produce the same optimal cost, compared by ``float.hex()`` — a single
@@ -18,7 +22,11 @@ Two kinds of failure are gated:
   normed time more than ``--threshold`` (default 15%) above the checked-in
   baseline's fails the gate; entries where DPccp itself finishes faster
   than ``--min-seconds`` are too noisy to norm and are reported but not
-  gated.
+  gated;
+* **routing regret** (always checked, in-run): the facade may take at most
+  ``FACADE_SLOWDOWN`` (1.25x) the faster of ``dpconv`` and
+  ``topdown_apcbi`` on the same row.  Rows whose faster entry is under
+  ``FACADE_MIN_SECONDS`` (5 ms) are reported but not gated.
 
 CI runs this as the ``enumspeed-gate`` job::
 
@@ -58,6 +66,11 @@ DEFAULT_WORKLOAD = (
     ("clique", 8),
     ("clique", 10),
     ("clique", 12),
+    ("chain", 16),
+    ("chain", 18),
+    ("cycle", 16),
+    ("cycle", 18),
+    ("acyclic", 16),
 )
 
 SEED = 20120403
@@ -68,8 +81,14 @@ DEFAULT_THRESHOLD = 0.15
 #: Entries whose DPccp time is below this are too noisy to norm against.
 DEFAULT_MIN_SECONDS = 0.05
 
+#: The facade may take at most this multiple of the row's faster algorithm.
+FACADE_SLOWDOWN = 1.25
+
+#: Rows whose faster algorithm finishes below this are not facade-gated.
+FACADE_MIN_SECONDS = 0.005
+
 #: The algorithms under test.  DPccp is the normalizer and must stay first.
-ALGORITHMS = ("dpccp", "dpconv", "topdown_apcbi")
+ALGORITHMS = ("dpccp", "dpconv", "topdown_apcbi", "facade")
 
 
 def _run_algorithm(name: str, query):
@@ -85,6 +104,8 @@ def _run_algorithm(name: str, query):
             cost_model_factory=CoutCostModel,
             dpconv_auto=False,
         ).optimize(query)
+    if name == "facade":
+        return Optimizer(cost_model_factory=CoutCostModel).optimize(query)
     raise ValueError(f"unknown enumspeed algorithm {name!r}")
 
 
@@ -111,6 +132,7 @@ def run_benchmark(
 
     entries: List[Dict[str, object]] = []
     divergences: List[str] = []
+    facade_slowdowns: List[str] = []
     for family, size, query in queries:
         seconds: Dict[str, float] = {name: float("inf") for name in ALGORITHMS}
         costs: Dict[str, str] = {}
@@ -131,6 +153,15 @@ def run_benchmark(
                     f"{family}-{size}: {name} cost {costs[name]} != "
                     f"dpccp cost {reference}"
                 )
+        fastest = min(seconds["dpconv"], seconds["topdown_apcbi"])
+        if (
+            fastest >= FACADE_MIN_SECONDS
+            and seconds["facade"] > FACADE_SLOWDOWN * fastest
+        ):
+            facade_slowdowns.append(
+                f"{family}-{size}: facade {seconds['facade']:.4f}s exceeds "
+                f"{FACADE_SLOWDOWN}x the faster algorithm ({fastest:.4f}s)"
+            )
         dpccp_seconds = seconds["dpccp"]
         gated = dpccp_seconds >= min_seconds
         entries.append(
@@ -158,6 +189,7 @@ def run_benchmark(
         "min_seconds": min_seconds,
         "entries": entries,
         "cost_divergences": divergences,
+        "facade_slowdowns": facade_slowdowns,
     }
 
 
@@ -170,11 +202,12 @@ def check_against(
 
     Only normed (machine-portable) times are compared, and only for
     entries both sides flagged as ``gated``.  Cost divergences in the
-    fresh report always fail.  An entry present in the baseline but
+    fresh report always fail, and so do facade slowdowns.  An entry present in the baseline but
     missing from the report fails too — silently dropping the expensive
     rows is not a way to pass the gate.
     """
     failures = list(report.get("cost_divergences") or [])
+    failures += report.get("facade_slowdowns") or []
     current = {
         (e["family"], e["relations"]): e for e in report.get("entries", [])
     }
@@ -255,7 +288,7 @@ def main(argv: Optional[List[str]] = None) -> int:
     report = run_benchmark(rounds=args.rounds)
     print(_speedup_line(report))
 
-    failures: List[str] = list(report["cost_divergences"])
+    failures: List[str] = report["cost_divergences"] + report["facade_slowdowns"]
     if args.check is not None:
         with open(args.check, "r", encoding="utf-8") as handle:
             baseline = json.load(handle)

@@ -37,6 +37,7 @@ from repro.core.apcbi import ApcbiPlanGenerator
 from repro.core.goo import run_goo
 from repro.core.pcb import PcbPlanGenerator
 from repro.core.plangen import PlanGeneratorBase, TopDownPlanGenerator
+from repro.core.routing import WorkEstimate, estimate_work
 from repro.cost.cout import CoutCostModel
 from repro.cost.haas import HaasCostModel
 from repro.cost.model import CostModel
@@ -64,17 +65,10 @@ __all__ = [
     "optimize_topk",
     "run_dpccp",
     "run_dpconv",
-    "DPCONV_AUTO_MIN_RELATIONS",
     "PRUNING_STRATEGIES",
     "PRUNING_SUFFIXES",
     "algorithm_label",
 ]
-
-#: The automatic DPconv fast path engages from this many relations up.
-#: Below it, per-query enumeration is cheap enough that the requested
-#: top-down algorithm's richer counters/anytime behavior win; from here on
-#: the O(3^n) constant factor dominates per-query latency.
-DPCONV_AUTO_MIN_RELATIONS = 12
 
 #: Pruning name -> plan generator class for the simple (non-APCBI) variants.
 PRUNING_STRATEGIES: Dict[str, Type[PlanGeneratorBase]] = {
@@ -180,14 +174,18 @@ class Optimizer:
         ``plan_cache_hit`` events.  Telemetry never influences plan
         choice.
     dpconv_auto:
-        When True (the default), unbudgeted single-best runs on
-        :data:`DPCONV_AUTO_MIN_RELATIONS`-or-larger queries whose bound
-        cost model is ``C_out``-shaped are served by the DPconv
-        subset-convolution fast path instead of the requested top-down
-        algorithm.  Every algorithm involved is exact, so the optimal
-        *cost* is unchanged; only wall-clock (and, on exact-cost ties,
-        plan shape) can differ.  The result reports
-        ``pruning == "dpconv"`` whenever the fast path actually ran.
+        When True (the default), every unbudgeted single-best run whose
+        bound cost model is ``C_out``-shaped is routed by predicted work
+        (:mod:`repro.core.routing`): DPconv's work is its split count
+        ``sum_S (2^(|S|-1) - 1)`` over the connected sets ``S`` plus its
+        ``2^n`` array fill, the requested top-down algorithm's is the
+        csg-cmp pair count, and the DPconv subset-convolution fast path
+        serves the query when its predicted time is the lower one.  Every
+        algorithm involved is exact, so the optimal *cost* is unchanged;
+        only wall-clock (and, on exact-cost ties, plan shape) can differ.
+        The result reports ``pruning == "dpconv"`` whenever the fast path
+        actually ran, and a traced run records the decision as a
+        ``route`` event on its ``enumerate`` span.
     """
 
     def __init__(
@@ -354,53 +352,60 @@ class Optimizer:
         budget: Optional["Budget"],
         context: Optional[OptimizationContext],
     ) -> OptimizationResult:
-        if self.pruning == "dpconv" or self._auto_fastpath_candidate(
-            query, budget, context
+        route: Optional[WorkEstimate] = None
+        if self.pruning == "dpconv" or self._auto_route_candidate(
+            budget, context
         ):
             # Deciding eligibility needs the *bound* cost model, so the
             # per-query context is built here (outside the measured
             # interval, like APCBI's pre-pass machinery).
             if context is None:
                 context = self._context_for(query, budget)
-            if dpconv_eligible(context):
-                return self._optimize_dpconv(query, budget, context)
             if self.pruning == "dpconv":
+                if dpconv_eligible(context):
+                    return self._optimize_dpconv(query, budget, context)
                 return self._fallback_dpccp(query, budget, context)
-            # Auto candidate that turned out ineligible: run what was
-            # asked for, on the context already built.
+            if dpconv_eligible(context):
+                # Counting runs only after the eligibility check, so
+                # queries under other cost models never pay for it.
+                route = estimate_work(query.graph)
+                if route.use_dpconv:
+                    return self._optimize_dpconv(query, budget, context, route)
         if self.pruning in PRUNING_STRATEGIES:
-            return self._optimize_simple(query, budget, context)
-        return self._optimize_apcbi(query, budget, context)
+            return self._optimize_simple(query, budget, context, route)
+        return self._optimize_apcbi(query, budget, context, route)
 
-    def _auto_fastpath_candidate(
+    def _auto_route_candidate(
         self,
-        query: Query,
         budget: Optional["Budget"],
         context: Optional[OptimizationContext],
     ) -> bool:
-        """Cheap pre-context screen for the automatic DPconv fast path.
+        """Cheap pre-context screen for the automatic DPconv route.
 
-        Auto-selection is reserved for unbudgeted single-best large-n
-        runs: a budgeted run wants the top-down generators' anytime
-        best-so-far salvage, and ranked retention needs per-class
-        candidate lists DPconv does not keep.  The C_out-shape half of the
-        test needs the bound model and happens in :func:`dpconv_eligible`.
+        Routing is reserved for unbudgeted single-best runs: a budgeted
+        run wants the top-down generators' anytime best-so-far salvage,
+        and ranked retention needs per-class candidate lists DPconv does
+        not keep.  The C_out-shape half of the test needs the bound model
+        and happens in :func:`dpconv_eligible`.
         """
         if not self.dpconv_auto or budget is not None:
             return False
-        if (context.topk if context is not None else self.topk) != 1:
-            return False
-        return query.n_relations >= DPCONV_AUTO_MIN_RELATIONS
+        return (context.topk if context is not None else self.topk) == 1
 
     def _optimize_dpconv(
         self,
         query: Query,
         budget: Optional["Budget"],
         context: OptimizationContext,
+        route: Optional[WorkEstimate] = None,
     ) -> OptimizationResult:
         """The subset-convolution fast path (see repro/baselines/dpconv.py)."""
         started = time.perf_counter()
-        algorithm = DPconv(context=context, budget=budget)
+        algorithm = DPconv(
+            context=context,
+            budget=budget,
+            layers=route.layers if route is not None else None,
+        )
         try:
             if self.telemetry is not None:
                 with self.telemetry.span(
@@ -409,6 +414,8 @@ class Optimizer:
                     pruning="dpconv",
                     relations=query.n_relations,
                 ) as span:
+                    if route is not None:
+                        span.event("route", **route.event())
                     plan = algorithm.run()
                     span.set(ccps_enumerated=context.stats.ccps_enumerated)
             else:
@@ -572,6 +579,7 @@ class Optimizer:
         query: Query,
         budget: Optional["Budget"] = None,
         context: Optional[OptimizationContext] = None,
+        route: Optional[WorkEstimate] = None,
     ) -> OptimizationResult:
         partitioning = get_partitioning(self.enumerator)
         generator_cls = PRUNING_STRATEGIES[self.pruning]
@@ -579,7 +587,10 @@ class Optimizer:
         if context is None:
             context = self._context_for(query, budget)
         generator = generator_cls(
-            partitioning=partitioning, context=context, budget=budget
+            partitioning=partitioning,
+            context=context,
+            budget=budget,
+            route=route,
         )
         try:
             plan = generator.run()
@@ -613,6 +624,7 @@ class Optimizer:
         query: Query,
         budget: Optional["Budget"] = None,
         context: Optional[OptimizationContext] = None,
+        route: Optional[WorkEstimate] = None,
     ) -> OptimizationResult:
         partitioning = get_partitioning(self.enumerator)
         config = self.config
@@ -676,6 +688,7 @@ class Optimizer:
             upper_bounds=upper_bounds,
             heuristic=get_heuristic(self.heuristic),
             budget=budget,
+            route=route,
         )
         try:
             plan = generator.run()

@@ -23,6 +23,7 @@ from repro.query import Query
 from repro.stats.counters import OptimizationStats
 
 if TYPE_CHECKING:  # pragma: no cover - typing only, avoids a package cycle
+    from repro.core.routing import WorkEstimate
     from repro.resilience.budget import Budget
 
 __all__ = ["PlanGeneratorBase", "TopDownPlanGenerator", "INFINITY"]
@@ -43,7 +44,9 @@ class PlanGeneratorBase:
     :class:`~repro.core.optimizer.Optimizer` facade builds one per query
     and threads it through every layer) or the legacy positional
     ``(query, partitioning, cost_model, stats, budget)`` shape, which
-    builds a private context.
+    builds a private context.  ``route`` carries the facade's routing
+    decision (:class:`repro.core.routing.WorkEstimate`); a traced run
+    records it as a ``route`` event on its ``enumerate`` span.
     """
 
     #: Registry name of the pruning strategy ("none", "acb", ...).
@@ -58,6 +61,7 @@ class PlanGeneratorBase:
         budget: Optional["Budget"] = None,
         *,
         context: Optional[OptimizationContext] = None,
+        route: Optional["WorkEstimate"] = None,
     ):
         if context is None:
             if query is None:
@@ -83,6 +87,7 @@ class PlanGeneratorBase:
         self._memo = MemoTable(k=context.topk)
         self._budget = budget if budget is not None else context.budget
         self._telemetry = context.telemetry
+        self._route = route
         for index in range(self._query.n_relations):
             self._memo.register(self._builder.leaf(self._query, index))
 
@@ -199,6 +204,8 @@ class PlanGeneratorBase:
             pruning=self.pruning_name,
             relations=self._query.n_relations,
         ) as span:
+            if self._route is not None:
+                span.event("route", **self._route.event())
             plan = self._run()
             span.set(
                 ccps_enumerated=self.stats.ccps_enumerated,

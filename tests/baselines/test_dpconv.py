@@ -7,25 +7,33 @@ outside the envelope, and the :class:`Optimizer` facade must only ever
 engage it when that envelope holds.
 """
 
+import random
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from repro.baselines.dpccp import enumerate_csg, enumerate_csg_cmp_pairs
 from repro.baselines.dpconv import DPconv, _MAX_RELATIONS, eligible
 from repro.context.context import OptimizationContext
 from repro.core.optimizer import (
-    DPCONV_AUTO_MIN_RELATIONS,
     Optimizer,
     optimize_topk,
     run_dpccp,
     run_dpconv,
 )
+from repro.core.routing import (
+    WALKED_CCPS_PER_TREE_PAIR,
+    estimate_work,
+    tree_counts,
+)
 from repro.cost.cout import CoutCostModel
 from repro.cost.haas import HaasCostModel
 from repro.errors import BudgetExceeded, OptimizationError
+from repro.graph.query_graph import QueryGraph
 from repro.plans.validation import validate_plan
 from repro.resilience.budget import Budget
 from repro.workload.generator import QueryGenerator
-from tests.conftest import small_queries
+from tests.conftest import connected_graphs, small_queries
 
 
 class TestBitExactness:
@@ -132,17 +140,25 @@ class TestFacadeRouting:
         ]
         assert events, "fallback must be observable in the trace"
 
-    def test_auto_fast_path_engages_on_large_cout_queries(self):
-        query = QueryGenerator(seed=2).generate(
-            "chain", DPCONV_AUTO_MIN_RELATIONS
-        )
+    @pytest.mark.parametrize("family", ["clique", "star"])
+    def test_route_sends_dense_work_to_dpconv(self, family):
+        # clique-10: 28,501 splits against 28,501 ccps; star-10: 19,171
+        # splits against 2,304 ccps.  Both are far below the top-down
+        # per-ccp price.
+        query = QueryGenerator(seed=2).generate(family, 10)
         result = Optimizer(cost_model_factory=CoutCostModel).optimize(query)
         assert result.pruning == "dpconv"
 
+    @pytest.mark.parametrize("family", ["chain", "cycle"])
+    def test_route_keeps_sparse_work_on_apcbi(self, family):
+        # chain-16: 130,918 splits and 65,536 slots against 680 ccps;
+        # cycle-16: 556,799 splits against 1,800 ccps.
+        query = QueryGenerator(seed=2).generate(family, 16)
+        result = Optimizer(cost_model_factory=CoutCostModel).optimize(query)
+        assert result.pruning == "apcbi"
+
     def test_auto_fast_path_matches_the_requested_algorithm(self):
-        query = QueryGenerator(seed=2).generate(
-            "chain", DPCONV_AUTO_MIN_RELATIONS
-        )
+        query = QueryGenerator(seed=2).generate("star", 10)
         auto = Optimizer(cost_model_factory=CoutCostModel).optimize(query)
         exact = Optimizer(
             cost_model_factory=CoutCostModel, dpconv_auto=False
@@ -150,27 +166,16 @@ class TestFacadeRouting:
         assert auto.cost.hex() == exact.cost.hex()
 
     def test_auto_fast_path_respects_opt_out(self):
-        query = QueryGenerator(seed=2).generate(
-            "chain", DPCONV_AUTO_MIN_RELATIONS
-        )
+        query = QueryGenerator(seed=2).generate("star", 10)
         result = Optimizer(
             cost_model_factory=CoutCostModel, dpconv_auto=False
         ).optimize(query)
         assert result.pruning == "apcbi"
 
-    def test_auto_fast_path_stays_off_below_the_size_floor(self):
-        query = QueryGenerator(seed=2).generate(
-            "chain", DPCONV_AUTO_MIN_RELATIONS - 1
-        )
-        result = Optimizer(cost_model_factory=CoutCostModel).optimize(query)
-        assert result.pruning == "apcbi"
-
     def test_auto_fast_path_stays_off_under_a_budget(self):
         # DPconv has weak partial-plan salvage; anytime runs must keep
         # the algorithm the caller configured.
-        query = QueryGenerator(seed=2).generate(
-            "chain", DPCONV_AUTO_MIN_RELATIONS
-        )
+        query = QueryGenerator(seed=2).generate("chain", 12)
         result = Optimizer(cost_model_factory=CoutCostModel).optimize(
             query, budget=Budget(max_expansions=10**9)
         )
@@ -190,9 +195,7 @@ class TestFacadeRouting:
     @given(st.integers(2, 4), st.integers(0, 2**31 - 1))
     @settings(max_examples=15, deadline=None)
     def test_auto_never_engages_for_ranked_retention(self, k, seed):
-        query = QueryGenerator(seed=seed).generate(
-            "chain", DPCONV_AUTO_MIN_RELATIONS
-        )
+        query = QueryGenerator(seed=seed).generate("chain", 12)
         result = optimize_topk(query, k=k, cost_model_factory=CoutCostModel)
         assert result.pruning == "apcbi"
         assert len(result.ranked) >= 1
@@ -202,3 +205,146 @@ class TestFacadeRouting:
 
         with pytest.raises(UnknownAlgorithmError):
             Optimizer(pruning="dpconvv")
+
+
+def _brute_force_counts(graph):
+    """Splits, spanning-tree pairs and ccps by walking every csg and pair."""
+    csgs = list(enumerate_csg(graph))
+    sizes = [bin(subset).count("1") for subset in csgs]
+    return {
+        "splits": sum((1 << (size - 1)) - 1 for size in sizes),
+        "tree_pairs": sum(size - 1 for size in sizes),
+        "ccps": sum(1 for _ in enumerate_csg_cmp_pairs(graph)),
+    }
+
+
+@st.composite
+def _trees(draw, max_n=14):
+    n = draw(st.integers(1, max_n))
+    seed = draw(st.integers(0, 2**31 - 1))
+    rng = random.Random(seed)
+    order = list(range(n))
+    rng.shuffle(order)
+    # Each vertex joins one placed before it in a shuffled order.
+    edges = []
+    for i in range(1, n):
+        j = rng.randrange(i)
+        u, v = order[i], order[j]
+        edges.append((min(u, v), max(u, v)))
+    return QueryGraph(n, edges)
+
+
+class TestWorkRouting:
+    @given(_trees())
+    @settings(max_examples=60, deadline=None)
+    def test_tree_counts_equal_a_brute_force_walk(self, graph):
+        estimate = estimate_work(graph)
+        expected = _brute_force_counts(graph)
+        assert estimate.shape == "tree"
+        assert estimate.splits == expected["splits"]
+        assert estimate.ccps == expected["ccps"] == expected["tree_pairs"]
+        sums = tree_counts(graph)
+        assert sums["csgs"] == sum(1 for _ in enumerate_csg(graph))
+
+    @pytest.mark.parametrize("n", range(3, 11))
+    @pytest.mark.parametrize("family", ["cycle", "clique"])
+    def test_closed_forms_equal_a_brute_force_walk(self, family, n):
+        graph = QueryGenerator(seed=n).generate(family, n).graph
+        estimate = estimate_work(graph)
+        expected = _brute_force_counts(graph)
+        assert estimate.splits == expected["splits"]
+        assert estimate.ccps == expected["ccps"]
+
+    @given(connected_graphs(min_vertices=2, max_vertices=9))
+    @settings(max_examples=40, deadline=None)
+    def test_walked_splits_are_exact_and_ccps_scale_the_tree_bound(self, graph):
+        estimate = estimate_work(graph)
+        expected = _brute_force_counts(graph)
+        assert estimate.splits == expected["splits"]
+        if estimate.shape == "walked":
+            assert estimate.ccps == pytest.approx(
+                WALKED_CCPS_PER_TREE_PAIR * expected["tree_pairs"]
+            )
+            assert sum(map(len, estimate.layers)) == sum(
+                1 for _ in enumerate_csg(graph)
+            )
+
+    @given(small_queries(min_n=2, max_n=9))
+    @settings(max_examples=25, deadline=None)
+    def test_splits_are_dpconv_inner_loop_count(self, query):
+        result = run_dpconv(query)
+        assert estimate_work(query.graph).splits == result.stats.ccps_enumerated
+
+    @given(
+        st.sampled_from(["chain", "star", "cycle", "clique", "acyclic", "cyclic"]),
+        st.integers(3, 12),
+        st.integers(0, 2**31 - 1),
+    )
+    @settings(max_examples=25, deadline=None)
+    def test_facade_cost_equals_the_requested_algorithm(self, family, n, seed):
+        query = QueryGenerator(seed=seed).generate(family, n)
+        routed = Optimizer(cost_model_factory=CoutCostModel).optimize(query)
+        requested = Optimizer(
+            cost_model_factory=CoutCostModel, dpconv_auto=False
+        ).optimize(query)
+        assert routed.cost.hex() == requested.cost.hex()
+
+    @given(
+        st.sampled_from(["chain", "star", "cycle", "clique", "acyclic", "cyclic"]),
+        st.integers(3, 16),
+        st.integers(0, 2**31 - 1),
+        st.randoms(use_true_random=False),
+    )
+    @settings(max_examples=40, deadline=None)
+    def test_route_is_invariant_under_relabeling(self, family, n, seed, rng):
+        if family == "clique":
+            n = min(n, 10)
+        query = QueryGenerator(seed=seed).generate(family, n)
+        mapping = list(range(n))
+        rng.shuffle(mapping)
+        before = estimate_work(query.graph)
+        after = estimate_work(query.relabel(mapping).graph)
+        assert (before.shape, before.splits, before.ccps) == (
+            after.shape,
+            after.splits,
+            after.ccps,
+        )
+        assert before.use_dpconv == after.use_dpconv
+
+    @pytest.mark.parametrize(
+        "family, n, choice", [("star", 10, "dpconv"), ("chain", 16, "topdown")]
+    )
+    def test_traced_run_records_the_route(self, family, n, choice):
+        from repro.telemetry import MetricRegistry, Telemetry, Tracer
+
+        telemetry = Telemetry(registry=MetricRegistry(), tracer=Tracer())
+        query = QueryGenerator(seed=2).generate(family, n)
+        Optimizer(
+            cost_model_factory=CoutCostModel, telemetry=telemetry
+        ).optimize(query)
+        routes = [
+            event
+            for span in telemetry.tracer.finished_spans()
+            if span.name == "enumerate"
+            for event in span.events
+            if event["name"] == "route"
+        ]
+        assert len(routes) == 1
+        route = routes[0]
+        estimate = estimate_work(query.graph)
+        assert route["choice"] == choice
+        assert route["dpconv_work"] == estimate.splits + estimate.fill
+        assert route["topdown_work"] == estimate.ccps
+
+    def test_haas_runs_record_no_route(self):
+        from repro.telemetry import MetricRegistry, Telemetry, Tracer
+
+        telemetry = Telemetry(registry=MetricRegistry(), tracer=Tracer())
+        query = QueryGenerator(seed=2).generate("star", 8)
+        Optimizer(telemetry=telemetry).optimize(query)
+        assert not [
+            event
+            for span in telemetry.tracer.finished_spans()
+            for event in span.events
+            if event["name"] == "route"
+        ]

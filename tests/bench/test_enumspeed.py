@@ -47,7 +47,20 @@ class TestRunBenchmark:
                 "dpccp",
                 "dpconv",
                 "topdown_apcbi",
+                "facade",
             }
+        # Sub-5 ms rows are reported, never facade-gated.
+        assert report["facade_slowdowns"] == []
+
+    def test_slow_facade_is_reported(self, monkeypatch):
+        from repro.bench import enumspeed
+
+        # A zero floor and a zero allowance make every row a slowdown.
+        monkeypatch.setattr(enumspeed, "FACADE_MIN_SECONDS", 0.0)
+        monkeypatch.setattr(enumspeed, "FACADE_SLOWDOWN", 0.0)
+        report = run_benchmark(rounds=1, workload=(("chain", 5),))
+        assert len(report["facade_slowdowns"]) == 1
+        assert report["facade_slowdowns"][0].startswith("chain-5: facade")
 
     def test_rejects_zero_rounds(self):
         with pytest.raises(ValueError):
@@ -103,6 +116,14 @@ class TestCheckAgainst:
         ]
         failures = check_against(diverged, self.BASE)
         assert failures == diverged["cost_divergences"]
+
+    def test_facade_slowdown_always_fails(self):
+        slow = copy.deepcopy(self.BASE)
+        slow["facade_slowdowns"] = [
+            "chain-16: facade 0.0300s exceeds 1.25x the faster algorithm "
+            "(0.0100s)"
+        ]
+        assert check_against(slow, self.BASE) == slow["facade_slowdowns"]
 
     def test_missing_entry_fails(self):
         trimmed = copy.deepcopy(self.BASE)

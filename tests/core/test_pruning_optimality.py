@@ -26,7 +26,11 @@ def _assert_optimal(query, enumerator, pruning, config=None, cost_model=HaasCost
         pruning=pruning,
         cost_model_factory=cost_model,
         config=config,
+        # The subject is the named pruning; under C_out the facade would
+        # otherwise route small queries to DPconv.
+        dpconv_auto=False,
     ).optimize(query)
+    assert result.pruning == pruning
     assert result.cost == pytest.approx(baseline.cost, rel=1e-9), (
         f"{enumerator}/{pruning} lost optimality on {query.describe()}"
     )

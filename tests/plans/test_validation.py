@@ -13,6 +13,7 @@ from repro.plans.validation import (
     validate_plan,
 )
 from repro.cost.statistics import StatisticsProvider
+from repro.graph.bitset import format_set
 from tests.conftest import small_queries
 
 
@@ -138,3 +139,155 @@ class TestRecomputeCost:
         provider = StatisticsProvider(small_query)
         leaf = LeafNode(0, small_query.catalog.cardinality(0))
         assert recompute_cost(leaf, provider, HaasCostModel()) == 0.0
+
+
+class TestViolationMessages:
+    """Messages are built only when a check fails, and read as they always did.
+
+    Each case breaks one invariant of an otherwise sound chain plan and
+    compares the whole message, byte for byte, to the text the eager
+    formatting produced.
+    """
+
+    @staticmethod
+    def _chain(generator, n):
+        query = generator.generate("chain", n)
+        provider = StatisticsProvider(query)
+        leaves = [
+            LeafNode(i, query.catalog.cardinality(i)) for i in range(n)
+        ]
+        return query, provider, leaves
+
+    def _assert_message(self, expected, check, *args):
+        with pytest.raises(PlanValidationError) as caught:
+            check(*args)
+        assert str(caught.value) == expected
+
+    def test_coverage(self, generator):
+        query, provider, leaves = self._chain(generator, 3)
+        plan = JoinNode(leaves[0], leaves[1], provider.cardinality(0b011), 1.0)
+        self._assert_message(
+            "plan does not cover exactly the query's relations: "
+            f"{format_set(0b011)} != {format_set(0b111)}",
+            validate_plan, plan, query,
+        )
+
+    def test_duplicate_relation(self, generator):
+        query, provider, leaves = self._chain(generator, 2)
+        plan = JoinNode(leaves[0], leaves[1], provider.cardinality(0b11), 1.0)
+        plan.right = LeafNode(0, query.catalog.cardinality(0))
+        self._assert_message(
+            "relation R0 appears more than once in the plan",
+            validate_plan, plan, query,
+        )
+
+    def test_leaf_cardinality(self, generator):
+        query, provider, leaves = self._chain(generator, 2)
+        wrong = query.catalog.cardinality(0) + 1
+        plan = JoinNode(
+            LeafNode(0, wrong), leaves[1], provider.cardinality(0b11), 1.0
+        )
+        self._assert_message(
+            f"leaf R0 carries cardinality {wrong}, "
+            f"catalog says {query.catalog.cardinality(0)}",
+            validate_plan, plan, query,
+        )
+
+    def test_leaf_cost(self, generator):
+        query, provider, leaves = self._chain(generator, 2)
+        leaves[0].cost = 5.0
+        plan = JoinNode(leaves[0], leaves[1], provider.cardinality(0b11), 1.0)
+        self._assert_message(
+            "leaf nodes must have zero cost", validate_plan, plan, query
+        )
+
+    def test_overlapping_inputs(self, generator):
+        query, provider, leaves = self._chain(generator, 2)
+        plan = JoinNode(leaves[0], leaves[1], provider.cardinality(0b11), 1.0)
+        leaves[1].vertex_set = 0b11
+        self._assert_message(
+            f"join inputs overlap at {format_set(0b11)}",
+            validate_plan, plan, query,
+        )
+
+    def test_union_mismatch(self, generator):
+        query, provider, leaves = self._chain(generator, 3)
+        inner = JoinNode(leaves[0], leaves[1], provider.cardinality(0b011), 1.0)
+        plan = JoinNode(inner, leaves[2], provider.cardinality(0b111), 1.0)
+        inner.vertex_set = 0b001
+        self._assert_message(
+            "join vertex set is not the union of its inputs at "
+            f"{format_set(0b111)}",
+            validate_plan, plan, query,
+        )
+
+    def test_left_disconnected(self, generator):
+        query, provider, leaves = self._chain(generator, 3)
+        inner = JoinNode(leaves[0], leaves[2], provider.cardinality(0b101), 1.0)
+        plan = JoinNode(inner, leaves[1], provider.cardinality(0b111), 1.0)
+        self._assert_message(
+            f"left input {format_set(0b101)} is disconnected",
+            validate_plan, plan, query,
+        )
+
+    def test_right_disconnected(self, generator):
+        query, provider, leaves = self._chain(generator, 3)
+        inner = JoinNode(leaves[0], leaves[2], provider.cardinality(0b101), 1.0)
+        plan = JoinNode(leaves[1], inner, provider.cardinality(0b111), 1.0)
+        self._assert_message(
+            f"right input {format_set(0b101)} is disconnected",
+            validate_plan, plan, query,
+        )
+
+    def test_cross_product(self, generator, monkeypatch):
+        # Two connected halves of a connected set always share an edge, so
+        # on a valid (connected) query only a broken graph predicate can
+        # reach this check; force it.
+        query, provider, leaves = self._chain(generator, 2)
+        plan = JoinNode(leaves[0], leaves[1], provider.cardinality(0b11), 1.0)
+        monkeypatch.setattr(
+            type(query.graph), "are_connected", lambda self, left, right: False
+        )
+        self._assert_message(
+            f"cross product at {format_set(0b11)}: no join "
+            "edge between the inputs",
+            validate_plan, plan, query,
+        )
+
+    def test_cardinality_mismatch(self, generator):
+        query, provider, leaves = self._chain(generator, 2)
+        expected = provider.cardinality(0b11)
+        plan = JoinNode(leaves[0], leaves[1], expected * 2, 1.0)
+        self._assert_message(
+            f"cardinality mismatch at {format_set(0b11)}: "
+            f"plan says {expected * 2}, estimator says {expected}",
+            validate_plan, plan, query,
+        )
+
+    def test_cost_recomputation(self, generator):
+        query, provider, leaves = self._chain(generator, 2)
+        plan = JoinNode(leaves[0], leaves[1], provider.cardinality(0b11), 123456.0)
+        recomputed = recompute_cost(plan, provider, HaasCostModel())
+        self._assert_message(
+            f"plan cost {plan.cost!r} does not match recomputation "
+            f"{recomputed!r}",
+            validate_plan, plan, query, HaasCostModel(),
+        )
+
+    @pytest.mark.parametrize(
+        "field, value, text",
+        [
+            ("cost", float("nan"), "non-finite cost"),
+            ("cost", float("inf"), "non-finite cost"),
+            ("cost", -5.0, "negative cost"),
+            ("cardinality", float("inf"), "non-finite cardinality"),
+            ("cardinality", -1.0, "negative cardinality"),
+        ],
+    )
+    def test_check_finite(self, generator, field, value, text):
+        query, provider, leaves = self._chain(generator, 2)
+        plan = JoinNode(leaves[0], leaves[1], provider.cardinality(0b11), 1.0)
+        setattr(plan, field, value)
+        self._assert_message(
+            f"{text} {value!r} at {format_set(0b11)}", check_finite, plan
+        )
